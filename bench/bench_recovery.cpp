@@ -31,6 +31,17 @@
 //                                    N — the benchmark fails itself if the
 //                                    delta series' bytes grow at even half
 //                                    the rate of the history
+//
+// Both catch-up series report InstallMicros: the joiner's CPU from the
+// bytes it was shipped to a live store checked against the tip's app
+// digest. The delta chain replays its links onto the store the joiner
+// already installed from the base; scripts/run_benches.py gates its mean
+// InstallMicros under the monolithic series'.
+//
+//   BM_EncodeCheckpoint/200          encode_checkpoint of a cut carrying
+//                                    200 lan-durable-shaped blocks
+//                                    (bench/block_shape.h): the per-cut
+//                                    encode cost, gated in absolute time
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -44,9 +55,11 @@
 
 #include "app/kv_command.h"
 #include "app/kv_store.h"
+#include "block_shape.h"
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/delta.h"
 #include "checkpoint/segmented_wal.h"
+#include "crypto/blake2b.h"
 #include "sim/dag_builder.h"
 #include "validator/validator.h"
 #include "wal/wal.h"
@@ -342,11 +355,19 @@ void check_catchup_bytes(benchmark::State& state, const std::string& series,
   }
 }
 
+double micros_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 void BM_RecoveryCatchupMonolithic(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));
   const CatchupFixture& fixture = catchup_fixture(records);
+  double install_micros = 0;
   for (auto _ : state) {
-    // The wire carries the full tip cut; the joiner decodes and restores.
+    // The wire carries the full tip cut; the joiner decodes, restores the
+    // live store and checks it against the cut's digest.
+    const auto t0 = std::chrono::steady_clock::now();
     const CheckpointData tip = decode_checkpoint(
         {fixture.monolithic.data(), fixture.monolithic.size()});
     const app::KvStore kv =
@@ -355,8 +376,10 @@ void BM_RecoveryCatchupMonolithic(benchmark::State& state) {
       state.SkipWithError("monolithic catch-up digest mismatch");
       break;
     }
-    benchmark::DoNotOptimize(kv.state_digest());
+    install_micros += micros_since(t0);
   }
+  state.counters["InstallMicros"] =
+      install_micros / static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   check_catchup_bytes(state, "monolithic",
                       static_cast<double>(fixture.monolithic.size()),
                       static_cast<double>(records));
@@ -370,27 +393,40 @@ BENCHMARK(BM_RecoveryCatchupMonolithic)
 void BM_RecoveryCatchupDeltaChain(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));
   const CatchupFixture& fixture = catchup_fixture(records);
-  // The joiner's installed state: the chain's base, decoded once.
+  // The joiner's installed state: the chain's base, decoded once, and the
+  // live store it installed from it.
   const CheckpointData base =
       decode_checkpoint({fixture.base.data(), fixture.base.size()});
+  const app::KvStore base_store =
+      app::KvStore::restore({base.app_state.data(), base.app_state.size()});
   double wire_bytes = 0;
   for (const Bytes& link : fixture.deltas) {
     wire_bytes += static_cast<double>(link.size());
   }
+  double install_micros = 0;
   for (auto _ : state) {
-    CheckpointData data = base;
+    state.PauseTiming();
+    // The joiner's own copies, consumed below.
+    CheckpointData held = base;
+    app::KvStore held_store = base_store;
+    state.ResumeTiming();
+    // Decode the links and replay them onto the live store, snapshot once,
+    // then check the tip's digest.
+    const auto t0 = std::chrono::steady_clock::now();
+    DeltaChainReplay replay(std::move(held), std::move(held_store));
     for (const Bytes& link : fixture.deltas) {
-      apply_checkpoint_delta(
-          data, decode_checkpoint_delta({link.data(), link.size()}));
+      replay.apply(decode_checkpoint_delta({link.data(), link.size()}));
     }
-    const app::KvStore kv =
-        app::KvStore::restore({data.app_state.data(), data.app_state.size()});
-    if (kv.state_digest() != data.app_digest) {
+    const CheckpointData tip = std::move(replay).finish();
+    if (crypto::Blake2b::hash256({tip.app_state.data(), tip.app_state.size()}) !=
+        tip.app_digest) {
       state.SkipWithError("delta-chain catch-up digest mismatch");
       break;
     }
-    benchmark::DoNotOptimize(kv.state_digest());
+    install_micros += micros_since(t0);
   }
+  state.counters["InstallMicros"] =
+      install_micros / static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   check_catchup_bytes(state, "delta-chain", wire_bytes,
                       static_cast<double>(records));
 }
@@ -399,6 +435,28 @@ BENCHMARK(BM_RecoveryCatchupDeltaChain)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);
+
+// --- Checkpoint encode ------------------------------------------------------
+
+void BM_EncodeCheckpoint(benchmark::State& state) {
+  const auto block_count = static_cast<std::size_t>(state.range(0));
+  CheckpointData data;
+  data.sequence = 1;
+  data.horizon = 1;
+  data.head = SlotId{block_count / 4, 0};
+  for (std::size_t i = 0; i < block_count; ++i) {
+    data.blocks.push_back(bench_shape::lan_durable_block(
+        static_cast<ValidatorId>(i % 4), 1 + i / 4, i));
+  }
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const Bytes encoded = encode_checkpoint(data);
+    bytes = static_cast<std::int64_t>(encoded.size());
+    benchmark::DoNotOptimize(encoded.data());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_EncodeCheckpoint)->Arg(200)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -29,12 +29,23 @@
 // the kernel supports io_uring) pays 1 linked write→fsync submission per
 // group. scripts/check_bench.py --compare gates the uring column against the
 // classic one.
+//
+// Codec rows, on one lan-durable-shaped block (bench/block_shape.h, ~143.8
+// KB): each consumer encodes a block once into a buffer sized up front, and
+// records are framed in place. scripts/run_benches.py gates their absolute
+// times, so a copy chain or a byte-at-a-time CRC coming back fails CI.
+//
+//   BM_Crc32             crc32 over the block's wire bytes
+//   BM_BlockEncode       Block::serialize
+//   BM_WalEncodeBlock    wal_encode_block_record: encode + in-place frame + CRC
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <future>
 #include <string>
 
+#include "block_shape.h"
+#include "common/crc32.h"
 #include "types/committee.h"
 #include "wal/group_commit_wal.h"
 #include "wal/wal.h"
@@ -219,6 +230,36 @@ void BM_WalGroupDurableFsync(benchmark::State& state) {
   group_durable_bench(state, /*fsync=*/true, /*use_uring=*/false);
 }
 BENCHMARK(BM_WalGroupDurableFsync)->ArgName("burst")->Arg(1)->Arg(8)->Arg(64);
+
+// --- Codec rows -------------------------------------------------------------
+
+const Block& lan_durable_block() {
+  static const BlockPtr block = bench_shape::lan_durable_block(0, 1, 1);
+  return *block;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const Bytes wire = lan_durable_block().serialize();
+  for (auto _ : state) benchmark::DoNotOptimize(crc32({wire.data(), wire.size()}));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(wire.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+void BM_BlockEncode(benchmark::State& state) {
+  const Block& block = lan_durable_block();
+  for (auto _ : state) benchmark::DoNotOptimize(block.serialize());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(block.encoded_size()));
+}
+BENCHMARK(BM_BlockEncode)->Unit(benchmark::kMicrosecond);
+
+void BM_WalEncodeBlock(benchmark::State& state) {
+  const Block& block = lan_durable_block();
+  for (auto _ : state) benchmark::DoNotOptimize(wal_encode_block_record(block, false));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(block.encoded_size()));
+}
+BENCHMARK(BM_WalEncodeBlock)->Unit(benchmark::kMicrosecond);
 
 // Same workload landed through the WAL submission ring: one linked
 // write→fsync io_uring pair per group. Registered from main() only where the

@@ -68,31 +68,44 @@ BENCHES: List[Bench] = [
 
     # Inline-sync vs group-commit append cost; the ring-backed flush must
     # never pay more syscalls per record than the classic writer (skipped
-    # where the kernel refuses rings).
+    # where the kernel refuses rings). The codec rows run on one
+    # lan-durable-shaped block (~143.8 KB) and are gated at 2x their time on
+    # the 4-core reference host (CRC 83 us, encode 4.9 us, WAL record
+    # 85 us): a copy chain (encode ~157 us, record ~600 us) or a
+    # byte-at-a-time CRC (~430 us) coming back fails the push.
     Bench(name="wal", binary="bench_wal",
-          filter="BM_Wal", min_time="0.05",
+          filter="BM_Wal|BM_Crc32|BM_BlockEncode", min_time="0.05",
           gate=("--expect", "BM_WalAppendInlineSync",
                 "--expect", "BM_WalAppendGroupCommit",
                 "--expect", "BM_WalGroupDurableLatency",
                 "--expect", "BM_WalGroupDurableFsync",
                 "--compare", "SyscallsPerRecord", "BM_WalGroupDurableFsync/",
-                "BM_WalGroupDurableFsyncUring")),
+                "BM_WalGroupDurableFsyncUring",
+                "--max-ns", "BM_Crc32", "170000",
+                "--max-ns", "BM_BlockEncode", "10000",
+                "--max-ns", "BM_WalEncodeBlock", "170000")),
 
     # Monolithic replay vs checkpoint + segment-suffix, plus catch-up
     # transfer (full-cut re-send vs delta-chain links). The benches fail
     # themselves on superlinear per-record replay time and on delta
     # catch-up bytes that grow with history length (error_occurred entries
-    # fail the gate); the compare additionally pins the delta chain's mean
-    # CatchupBytes under the monolithic re-send's.
+    # fail the gate); the compares additionally pin the delta chain's mean
+    # CatchupBytes and InstallMicros under the monolithic re-send's. The
+    # checkpoint encode of a 200-block lan-durable cut is gated at 2x its
+    # reference-host time (22 ms; the copy chain took ~127 ms).
     Bench(name="recovery", binary="bench_recovery",
-          filter="BM_Recovery", min_time="0.05",
+          filter="BM_Recovery|BM_EncodeCheckpoint", min_time="0.05",
           gate=("--expect", "BM_RecoveryReplayMonolithic",
                 "--expect", "BM_RecoveryReplayCheckpointSuffix",
                 "--expect", "BM_RecoveryCatchupMonolithic",
                 "--expect", "BM_RecoveryCatchupDeltaChain",
                 "--compare", "CatchupBytes",
                 "BM_RecoveryCatchupMonolithic",
-                "BM_RecoveryCatchupDeltaChain")),
+                "BM_RecoveryCatchupDeltaChain",
+                "--compare", "InstallMicros",
+                "BM_RecoveryCatchupMonolithic",
+                "BM_RecoveryCatchupDeltaChain",
+                "--max-ns", "BM_EncodeCheckpoint/200", "44000000")),
 
     # Syscalls per committed block on a real 11-validator committee
     # (Iterations(1): one cluster run per backend — no min_time). The uring

@@ -1,5 +1,6 @@
 #include "checkpoint/cert.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "serde/serde.h"
@@ -195,7 +196,7 @@ std::string check_cert_binding(const CheckpointCertificate& cert,
   return {};
 }
 
-// The link's own content claim: app_state must hash to app_digest (or both
+// The chain tip's content claim: app_state must hash to app_digest (or both
 // be absent). This holds certified AND uncertified chains to their word.
 std::string check_app_binding(const CheckpointData& link) {
   if (link.app_state.empty()) {
@@ -229,21 +230,17 @@ ChainVerifyResult verify_checkpoint_chain(const CheckpointChainFrame& frame,
   bool all_certified = checkpoint_interval > 0;
 
   try {
+    std::optional<DeltaChainReplay> replay;
     for (std::size_t i = 0; i < frame.links.size(); ++i) {
       const auto& link = frame.links[i];
       if (i == 0) {
-        result.data = decode_checkpoint({link.record.data(), link.record.size()});
-        hasher.fold(result.data.decided.begin(), result.data.decided.end());
+        replay.emplace(decode_checkpoint({link.record.data(), link.record.size()}));
+        hasher.fold(replay->data().decided.begin(), replay->data().decided.end());
       } else {
         const CheckpointDelta delta =
             decode_checkpoint_delta({link.record.data(), link.record.size()});
-        apply_checkpoint_delta(result.data, delta);
+        replay->apply(delta);
         hasher.fold(delta.decided_suffix.begin(), delta.decided_suffix.end());
-      }
-
-      if (std::string err = check_app_binding(result.data); !err.empty()) {
-        result.error = "link " + std::to_string(i) + ": " + err;
-        return result;
       }
 
       if (link.cert.empty()) {
@@ -255,7 +252,7 @@ ChainVerifyResult verify_checkpoint_chain(const CheckpointChainFrame& frame,
       const CheckpointCertificate cert =
           decode_checkpoint_certificate({link.cert.data(), link.cert.size()});
       if (std::string err =
-              check_cert_binding(cert, result.data, hasher, checkpoint_interval,
+              check_cert_binding(cert, replay->data(), hasher, checkpoint_interval,
                                  options, last_cut_index);
           !err.empty()) {
         result.error = "link " + std::to_string(i) + ": " + err;
@@ -267,8 +264,18 @@ ChainVerifyResult verify_checkpoint_chain(const CheckpointChainFrame& frame,
         return result;
       }
     }
+    result.data = std::move(*replay).finish();
   } catch (const std::exception& error) {
     result.error = std::string("chain reconstruction failed: ") + error.what();
+    return result;
+  }
+
+  // The replay restores the app state once and snapshots it once, so the
+  // content claim is checked on the reconstructed tip: its app_state must
+  // hash to the newest link's app_digest (which a certified tip's
+  // certificate binds).
+  if (std::string err = check_app_binding(result.data); !err.empty()) {
+    result.error = "link " + std::to_string(frame.links.size() - 1) + ": " + err;
     return result;
   }
 

@@ -11,7 +11,7 @@
 
 #include "checkpoint/cert.h"
 #include "checkpoint/delta.h"
-#include "common/crc32.h"
+#include "checkpoint/record_codec.h"
 #include "common/fsio.h"
 #include "common/log.h"
 #include "serde/serde.h"
@@ -25,36 +25,16 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x4d4d434b;  // "MMCK"
 constexpr std::uint8_t kCheckpointVersion = 1;
 
-void write_slot(serde::Writer& w, SlotId slot) {
-  w.varint(slot.round);
-  w.u32(slot.leader_offset);
-}
-
-SlotId read_slot(serde::Reader& r) {
-  SlotId slot;
-  slot.round = r.varint();
-  slot.leader_offset = r.u32();
-  return slot;
-}
-
-void write_ref(serde::Writer& w, const BlockRef& ref) {
-  w.varint(ref.round);
-  w.u32(ref.author);
-  w.digest(ref.digest);
-}
-
-BlockRef read_ref(serde::Reader& r) {
-  BlockRef ref;
-  ref.round = r.varint();
-  ref.author = r.u32();
-  ref.digest = r.digest();
-  return ref;
-}
-
 }  // namespace
 
 Bytes encode_checkpoint(const CheckpointData& data) {
-  serde::Writer w;
+  using namespace record_codec;
+  const std::size_t payload_size =
+      4 + 1 + 8 + 4 + serde::varint_size(data.horizon) + slot_size(data.head) +
+      serde::varint_size(data.last_proposed_round) + decided_size(data.decided) +
+      delivered_size(data.delivered) + blocks_size(data.blocks) +
+      serde::bytes_size(data.app_state.size()) + 32;
+  serde::Writer w = wal_record_writer(payload_size);
   w.u32(kCheckpointMagic);
   w.u8(kCheckpointVersion);
   w.u64(data.sequence);
@@ -62,45 +42,18 @@ Bytes encode_checkpoint(const CheckpointData& data) {
   w.varint(data.horizon);
   write_slot(w, data.head);
   w.varint(data.last_proposed_round);
-
-  w.varint(data.decided.size());
-  for (const auto& d : data.decided) {
-    write_slot(w, d.slot);
-    w.u32(d.leader);
-    w.u8(static_cast<std::uint8_t>(d.kind));
-    w.u8(static_cast<std::uint8_t>(d.via));
-    if (d.kind == SlotDecision::Kind::kCommit) write_ref(w, d.block);
-  }
-
-  w.varint(data.delivered.size());
-  for (const auto& [digest, round] : data.delivered) {
-    w.digest(digest);
-    w.varint(round);
-  }
-
-  w.varint(data.blocks.size());
-  for (const BlockPtr& block : data.blocks) {
-    const Bytes encoded = block->serialize();
-    w.bytes({encoded.data(), encoded.size()});
-  }
-
+  write_decided(w, data.decided);
+  write_delivered(w, data.delivered);
+  write_blocks(w, data.blocks);
   w.bytes({data.app_state.data(), data.app_state.size()});
   w.digest(data.app_digest);
-
-  return wal_frame_record({w.data().data(), w.data().size()});
+  return wal_seal_record(std::move(w));
 }
 
 CheckpointData decode_checkpoint(BytesView encoded) {
-  serde::Reader framing(encoded);
-  const std::uint32_t len = framing.u32();
-  const std::uint32_t crc = framing.u32();
-  if (len != framing.remaining()) {
-    throw serde::SerdeError("checkpoint: frame length mismatch");
-  }
-  const BytesView payload = framing.raw(len);
-  if (crc32(payload) != crc) throw serde::SerdeError("checkpoint: CRC mismatch");
-
-  serde::Reader r(payload);
+  using namespace record_codec;
+  constexpr const char* kWhat = "checkpoint";
+  serde::Reader r(unframe(encoded, kWhat));
   if (r.u32() != kCheckpointMagic) throw serde::SerdeError("checkpoint: bad magic");
   if (r.u8() != kCheckpointVersion) throw serde::SerdeError("checkpoint: bad version");
 
@@ -110,61 +63,9 @@ CheckpointData decode_checkpoint(BytesView encoded) {
   data.horizon = r.varint();
   data.head = read_slot(r);
   data.last_proposed_round = r.varint();
-
-  // Element counts come off the wire (snapshot catch-up), so they are
-  // attacker-controlled: bound each against the bytes actually present
-  // (count * minimum encoded element size must fit in what remains) BEFORE
-  // reserving. A claimed 2^60 elements must be a SerdeError the caller
-  // already handles, not a std::length_error out of vector::reserve.
-  const std::uint64_t decided_count = r.varint();
-  constexpr std::size_t kMinDecidedBytes = 11;  // slot(1+4) + leader(4) + kind + via
-  if (decided_count > r.remaining() / kMinDecidedBytes) {
-    throw serde::SerdeError("checkpoint: decided count exceeds payload");
-  }
-  data.decided.reserve(decided_count);
-  for (std::uint64_t i = 0; i < decided_count; ++i) {
-    CheckpointData::DecidedSlot d;
-    d.slot = read_slot(r);
-    d.leader = r.u32();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(SlotDecision::Kind::kSkip)) {
-      throw serde::SerdeError("checkpoint: bad decision kind");
-    }
-    d.kind = static_cast<SlotDecision::Kind>(kind);
-    const std::uint8_t via = r.u8();
-    if (via > static_cast<std::uint8_t>(SlotDecision::Via::kIndirect)) {
-      throw serde::SerdeError("checkpoint: bad decision via");
-    }
-    d.via = static_cast<SlotDecision::Via>(via);
-    if (d.kind == SlotDecision::Kind::kCommit) d.block = read_ref(r);
-    data.decided.push_back(d);
-  }
-
-  const std::uint64_t delivered_count = r.varint();
-  constexpr std::size_t kMinDeliveredBytes = 33;  // digest(32) + round varint(1)
-  if (delivered_count > r.remaining() / kMinDeliveredBytes) {
-    throw serde::SerdeError("checkpoint: delivered count exceeds payload");
-  }
-  data.delivered.reserve(delivered_count);
-  for (std::uint64_t i = 0; i < delivered_count; ++i) {
-    const Digest digest = r.digest();
-    data.delivered.emplace_back(digest, r.varint());
-  }
-
-  const std::uint64_t block_count = r.varint();
-  if (block_count > r.remaining()) {  // each block costs at least its length varint
-    throw serde::SerdeError("checkpoint: block count exceeds payload");
-  }
-  data.blocks.reserve(block_count);
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    const std::uint64_t block_len = r.varint();
-    if (block_len > r.remaining()) {
-      throw serde::SerdeError("checkpoint: block length exceeds payload");
-    }
-    data.blocks.push_back(std::make_shared<const Block>(
-        Block::deserialize(r.raw(static_cast<std::size_t>(block_len)))));
-  }
-
+  data.decided = read_decided(r, kWhat);
+  data.delivered = read_delivered(r, kWhat);
+  data.blocks = read_blocks(r, kWhat);
   data.app_state = r.bytes();
   data.app_digest = r.digest();
   r.expect_done();
@@ -390,26 +291,14 @@ std::vector<CheckpointStore::ChainLink> CheckpointStore::newest_valid_chain()
 }
 
 std::optional<CheckpointData> CheckpointStore::load_newest_valid() const {
-  auto chain = newest_valid_chain();
-  while (!chain.empty()) {
-    try {
-      CheckpointData data =
-          decode_checkpoint({chain[0].record.data(), chain[0].record.size()});
-      for (std::size_t i = 1; i < chain.size(); ++i) {
-        apply_checkpoint_delta(
-            data, decode_checkpoint_delta(
-                      {chain[i].record.data(), chain[i].record.size()}));
-      }
-      return data;
-    } catch (const std::exception& error) {
-      // Linkage passed but replay failed (e.g. malformed app delta): drop
-      // the newest link and retry with the shorter chain.
-      MM_LOG(kWarn) << "CheckpointStore: chain replay failed, shortening: "
-                    << error.what();
-      chain.pop_back();
-    }
-  }
-  return std::nullopt;
+  const auto chain = newest_valid_chain();
+  if (chain.empty()) return std::nullopt;
+  // newest_valid_chain() decoded the base, and a link that decodes but does
+  // not apply (e.g. a malformed app delta) shortens the chain in the replay.
+  std::vector<BytesView> records;
+  records.reserve(chain.size());
+  for (const ChainLink& link : chain) records.emplace_back(link.record);
+  return replay_checkpoint_chain(records);
 }
 
 void CheckpointStore::retire(std::size_t keep) {

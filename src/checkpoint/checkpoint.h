@@ -18,7 +18,7 @@
 //     against the committed certificate chain: the digest is a deterministic
 //     function of the decided log, so peers agree on it).
 //
-// The encoding is one CRC-framed record (shared wal_frame_record framing),
+// The encoding is one CRC-framed record (shared wal/wal.h record framing),
 // written crash-atomically by CheckpointStore (tmp + fsync + rename):
 // a checkpoint file either decodes end-to-end or is discarded, and recovery
 // falls back to the previous one.

@@ -5,7 +5,8 @@
 #include <unordered_set>
 
 #include "app/kv_store.h"
-#include "common/crc32.h"
+#include "checkpoint/record_codec.h"
+#include "common/log.h"
 #include "serde/serde.h"
 #include "wal/wal.h"
 
@@ -16,70 +17,17 @@ namespace {
 constexpr std::uint32_t kDeltaMagic = 0x4d4d4344;  // "MMCD"
 constexpr std::uint8_t kDeltaVersion = 1;
 
-void write_slot(serde::Writer& w, SlotId slot) {
-  w.varint(slot.round);
-  w.u32(slot.leader_offset);
-}
-
-SlotId read_slot(serde::Reader& r) {
-  SlotId slot;
-  slot.round = r.varint();
-  slot.leader_offset = r.u32();
-  return slot;
-}
-
-void write_decided(serde::Writer& w,
-                   std::span<const CheckpointData::DecidedSlot> decided) {
-  w.varint(decided.size());
-  for (const auto& d : decided) {
-    write_slot(w, d.slot);
-    w.u32(d.leader);
-    w.u8(static_cast<std::uint8_t>(d.kind));
-    w.u8(static_cast<std::uint8_t>(d.via));
-    if (d.kind == SlotDecision::Kind::kCommit) {
-      w.varint(d.block.round);
-      w.u32(d.block.author);
-      w.digest(d.block.digest);
-    }
-  }
-}
-
-std::vector<CheckpointData::DecidedSlot> read_decided(serde::Reader& r) {
-  const std::uint64_t count = r.varint();
-  constexpr std::size_t kMinDecidedBytes = 11;  // slot(1+4) + leader(4) + kind + via
-  if (count > r.remaining() / kMinDecidedBytes) {
-    throw serde::SerdeError("delta: decided count exceeds payload");
-  }
-  std::vector<CheckpointData::DecidedSlot> decided;
-  decided.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    CheckpointData::DecidedSlot d;
-    d.slot = read_slot(r);
-    d.leader = r.u32();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(SlotDecision::Kind::kSkip)) {
-      throw serde::SerdeError("delta: bad decision kind");
-    }
-    d.kind = static_cast<SlotDecision::Kind>(kind);
-    const std::uint8_t via = r.u8();
-    if (via > static_cast<std::uint8_t>(SlotDecision::Via::kIndirect)) {
-      throw serde::SerdeError("delta: bad decision via");
-    }
-    d.via = static_cast<SlotDecision::Via>(via);
-    if (d.kind == SlotDecision::Kind::kCommit) {
-      d.block.round = r.varint();
-      d.block.author = r.u32();
-      d.block.digest = r.digest();
-    }
-    decided.push_back(d);
-  }
-  return decided;
-}
-
 }  // namespace
 
 Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {
-  serde::Writer w;
+  using namespace record_codec;
+  const std::size_t payload_size =
+      4 + 1 + 8 + 8 + 8 + 4 + serde::varint_size(delta.horizon) +
+      slot_size(delta.prev_head) + slot_size(delta.head) +
+      serde::varint_size(delta.last_proposed_round) + decided_size(delta.decided_suffix) +
+      delivered_size(delta.delivered) + blocks_size(delta.blocks_added) +
+      serde::bytes_size(delta.app_delta.size()) + 32;
+  serde::Writer w = wal_record_writer(payload_size);
   w.u32(kDeltaMagic);
   w.u8(kDeltaVersion);
   w.u64(delta.sequence);
@@ -90,38 +38,18 @@ Bytes encode_checkpoint_delta(const CheckpointDelta& delta) {
   write_slot(w, delta.prev_head);
   write_slot(w, delta.head);
   w.varint(delta.last_proposed_round);
-
   write_decided(w, delta.decided_suffix);
-
-  w.varint(delta.delivered.size());
-  for (const auto& [digest, round] : delta.delivered) {
-    w.digest(digest);
-    w.varint(round);
-  }
-
-  w.varint(delta.blocks_added.size());
-  for (const BlockPtr& block : delta.blocks_added) {
-    const Bytes encoded = block->serialize();
-    w.bytes({encoded.data(), encoded.size()});
-  }
-
+  write_delivered(w, delta.delivered);
+  write_blocks(w, delta.blocks_added);
   w.bytes({delta.app_delta.data(), delta.app_delta.size()});
   w.digest(delta.app_digest);
-
-  return wal_frame_record({w.data().data(), w.data().size()});
+  return wal_seal_record(std::move(w));
 }
 
 CheckpointDelta decode_checkpoint_delta(BytesView encoded) {
-  serde::Reader framing(encoded);
-  const std::uint32_t len = framing.u32();
-  const std::uint32_t crc = framing.u32();
-  if (len != framing.remaining()) {
-    throw serde::SerdeError("delta: frame length mismatch");
-  }
-  const BytesView payload = framing.raw(len);
-  if (crc32(payload) != crc) throw serde::SerdeError("delta: CRC mismatch");
-
-  serde::Reader r(payload);
+  using namespace record_codec;
+  constexpr const char* kWhat = "delta";
+  serde::Reader r(unframe(encoded, kWhat));
   if (r.u32() != kDeltaMagic) throw serde::SerdeError("delta: bad magic");
   if (r.u8() != kDeltaVersion) throw serde::SerdeError("delta: bad version");
 
@@ -134,34 +62,9 @@ CheckpointDelta decode_checkpoint_delta(BytesView encoded) {
   delta.prev_head = read_slot(r);
   delta.head = read_slot(r);
   delta.last_proposed_round = r.varint();
-
-  delta.decided_suffix = read_decided(r);
-
-  const std::uint64_t delivered_count = r.varint();
-  constexpr std::size_t kMinDeliveredBytes = 33;  // digest(32) + round varint(1)
-  if (delivered_count > r.remaining() / kMinDeliveredBytes) {
-    throw serde::SerdeError("delta: delivered count exceeds payload");
-  }
-  delta.delivered.reserve(delivered_count);
-  for (std::uint64_t i = 0; i < delivered_count; ++i) {
-    const Digest digest = r.digest();
-    delta.delivered.emplace_back(digest, r.varint());
-  }
-
-  const std::uint64_t block_count = r.varint();
-  if (block_count > r.remaining()) {
-    throw serde::SerdeError("delta: block count exceeds payload");
-  }
-  delta.blocks_added.reserve(block_count);
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    const std::uint64_t block_len = r.varint();
-    if (block_len > r.remaining()) {
-      throw serde::SerdeError("delta: block length exceeds payload");
-    }
-    delta.blocks_added.push_back(std::make_shared<const Block>(
-        Block::deserialize(r.raw(static_cast<std::size_t>(block_len)))));
-  }
-
+  delta.decided_suffix = read_decided(r, kWhat);
+  delta.delivered = read_delivered(r, kWhat);
+  delta.blocks_added = read_blocks(r, kWhat);
   delta.app_delta = r.bytes();
   delta.app_digest = r.digest();
   r.expect_done();
@@ -229,7 +132,8 @@ CheckpointDelta make_checkpoint_delta(const CheckpointData& prev,
   return delta;
 }
 
-void apply_checkpoint_delta(CheckpointData& data, const CheckpointDelta& delta) {
+void DeltaChainReplay::apply(const CheckpointDelta& delta) {
+  CheckpointData& data = data_;
   if (delta.author != data.author) {
     throw std::invalid_argument("delta apply: author mismatch");
   }
@@ -269,18 +173,40 @@ void apply_checkpoint_delta(CheckpointData& data, const CheckpointDelta& delta) 
   data.blocks = std::move(merged);
 
   if (delta.app_delta.empty()) {
-    if (!data.app_state.empty()) {
+    if (store_.has_value() || !data.app_state.empty()) {
       throw std::invalid_argument("delta apply: app delta missing");
     }
   } else {
-    app::KvStore store = data.app_state.empty()
-                             ? app::KvStore{}
-                             : app::KvStore::restore(
-                                   {data.app_state.data(), data.app_state.size()});
-    store.apply_delta({delta.app_delta.data(), delta.app_delta.size()});
-    data.app_state = store.snapshot_bytes();
+    if (!store_.has_value()) {
+      store_ = data.app_state.empty()
+                   ? app::KvStore{}
+                   : app::KvStore::restore({data.app_state.data(), data.app_state.size()});
+    }
+    store_->apply_delta({delta.app_delta.data(), delta.app_delta.size()});
   }
   data.app_digest = delta.app_digest;
+}
+
+CheckpointData DeltaChainReplay::finish() && {
+  if (store_.has_value()) data_.app_state = store_->snapshot_bytes();
+  return std::move(data_);
+}
+
+CheckpointData replay_checkpoint_chain(std::span<const BytesView> records) {
+  DeltaChainReplay replay(decode_checkpoint(records.front()));
+  // A failed link may leave the replay half-applied: restart on the prefix
+  // before it. Failures are rare (a corrupt or malicious link), so the
+  // common path pays for one replay.
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    try {
+      replay.apply(decode_checkpoint_delta(records[i]));
+    } catch (const std::exception& error) {
+      MM_LOG(kWarn) << "checkpoint chain: link " << i << " does not apply, keeping "
+                    << i - 1 << " links: " << error.what();
+      return replay_checkpoint_chain(records.first(i));
+    }
+  }
+  return std::move(replay).finish();
 }
 
 void truncate_checkpoint(CheckpointData& data, SlotId boundary,

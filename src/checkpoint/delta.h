@@ -19,18 +19,20 @@
 // and state_digest) to a monolithic capture at the same head — the property
 // test in tests/test_checkpoint.cpp holds recovery to that.
 //
-// Encoding: one CRC-framed record per delta (same wal_frame_record framing
+// Encoding: one CRC-framed record per delta (same wal/wal.h record framing
 // as checkpoints, distinct magic), written crash-atomically next to its base
 // by CheckpointStore. Decoding is bounds-checked against the payload like
 // decode_checkpoint: these records also arrive off the wire (catch-up).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "app/kv_store.h"
 #include "checkpoint/checkpoint.h"
 
 namespace mahimahi {
@@ -80,13 +82,42 @@ CheckpointDelta make_checkpoint_delta(const CheckpointData& prev,
                                       std::uint64_t base_sequence,
                                       Bytes app_delta);
 
-// Applies one delta onto `data` in place: extends the decided log, advances
-// head/horizon, drops pruned suffix blocks and appends the new ones, replaces
-// the delivered marks, and replays the app delta onto the carried app_state.
-// Throws std::invalid_argument on linkage mismatch (wrong prev sequence or
-// head, non-monotone horizon) and serde::SerdeError on a malformed app
-// delta. Structural validity of the result is verify_checkpoint's job.
-void apply_checkpoint_delta(CheckpointData& data, const CheckpointDelta& delta);
+// Replays delta links onto a base cut. Each apply() extends the decided
+// log, advances head/horizon, drops pruned suffix blocks and appends the new
+// ones, replaces the delivered marks, and applies the link's app delta. The
+// app deltas all land on ONE live app::KvStore, restored from the base's
+// app_state at the first link that carries one; finish() snapshots it back
+// into app_state once. A chain of k links thus costs one restore and one
+// snapshot, not k of each. Until finish(), data().app_state is stale (the
+// base's); every other field, app_digest included, is current.
+//
+// apply() throws std::invalid_argument on linkage mismatch (wrong prev
+// sequence or head, non-monotone horizon) and serde::SerdeError on a
+// malformed app delta; the replay is unusable after a throw. Structural
+// validity of the result is verify_checkpoint's job.
+class DeltaChainReplay {
+ public:
+  explicit DeltaChainReplay(CheckpointData base) : data_(std::move(base)) {}
+  // `store` is the live store at `base`'s app state, held by a caller that
+  // already installed the base: the replay then restores nothing.
+  DeltaChainReplay(CheckpointData base, app::KvStore store)
+      : data_(std::move(base)), store_(std::move(store)) {}
+
+  void apply(const CheckpointDelta& delta);
+  const CheckpointData& data() const { return data_; }
+  CheckpointData finish() &&;
+
+ private:
+  CheckpointData data_;
+  std::optional<app::KvStore> store_;  // engaged from the first app delta on
+};
+
+// Decodes and replays a stored chain (`records[0]` an encode_checkpoint
+// base, the rest encode_checkpoint_delta links in sequence order). A link
+// that fails to decode or apply ends the chain there: the result is the
+// base plus the longest cleanly-applying prefix of links. Throws (as the
+// decoders do) only when the base itself is unusable.
+CheckpointData replay_checkpoint_chain(std::span<const BytesView> records);
 
 // Truncates a freshly captured cut back to `boundary` (a canonical cut
 // slot <= the captured head): drops decided entries at or past the boundary,

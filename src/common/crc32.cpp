@@ -6,19 +6,32 @@ namespace mahimahi {
 
 namespace {
 
-std::array<std::uint32_t, 256> build_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 (reflected IEEE polynomial 0xedb88320). kTables[0] is the
+// classic byte table; kTables[k][b] is the CRC of byte b followed by k zero
+// bytes, so one step folds eight input bytes with eight independent lookups.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables build_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& table() {
-  static const auto t = build_table();
-  return t;
+constexpr Tables kTables = build_tables();
+
+// Little-endian load; compiles to one unaligned load on x86 and arm64.
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 | std::uint32_t{p[2]} << 16 |
+         std::uint32_t{p[3]} << 24;
 }
 
 }  // namespace
@@ -26,8 +39,17 @@ const std::array<std::uint32_t, 256>& table() {
 std::uint32_t crc32_init() { return 0xffffffffu; }
 
 std::uint32_t crc32_update(std::uint32_t state, BytesView data) {
-  const auto& t = table();
-  for (std::uint8_t b : data) state = t[(state ^ b) & 0xff] ^ (state >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ state;
+    const std::uint32_t hi = load_le32(p + 4);
+    state = kTables[7][lo & 0xff] ^ kTables[6][(lo >> 8) & 0xff] ^
+            kTables[5][(lo >> 16) & 0xff] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xff] ^ kTables[2][(hi >> 8) & 0xff] ^
+            kTables[1][(hi >> 16) & 0xff] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) state = kTables[0][(state ^ *p) & 0xff] ^ (state >> 8);
   return state;
 }
 

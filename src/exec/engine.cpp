@@ -163,14 +163,16 @@ void SerialExecutor::apply_subdag(const CommittedSubDag& subdag) {
 // ---------------------------------------------------------------------------
 
 ExecutionEngine::ExecutionEngine(Options options, DeliveryHandler on_delivery)
-    : on_delivery_(std::move(on_delivery)) {
-  if (options.threads > 0) {
+    : on_delivery_(std::move(on_delivery)), threaded_(options.threads > 0) {
+  if (threaded_) {
     pool_ = std::make_unique<net::WorkerPool>(options.threads, "exec");
     merge_ = std::thread([this] { merge_main(); });
   }
 }
 
-ExecutionEngine::~ExecutionEngine() {
+ExecutionEngine::~ExecutionEngine() { shutdown(); }
+
+void ExecutionEngine::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -182,7 +184,7 @@ ExecutionEngine::~ExecutionEngine() {
 
 void ExecutionEngine::execute(const CommittedSubDag& subdag,
                               TimeMicros enqueued_at) {
-  if (!merge_.joinable()) {
+  if (!threaded_) {
     // threads == 0: serial inline apply on the caller, deliveries included.
     process(Pending{subdag, enqueued_at});
     return;
@@ -205,9 +207,11 @@ void ExecutionEngine::replay(const CommittedSubDag& subdag) {
 }
 
 void ExecutionEngine::drain() {
-  if (!merge_.joinable()) return;
+  if (!threaded_) return;
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [&] { return (queue_.empty() && !busy_) || stopping_; });
+  // A stopping merge thread still applies everything queued before it
+  // exits, so this also holds during and after shutdown().
+  idle_.wait(lock, [&] { return queue_.empty() && !busy_; });
 }
 
 Digest ExecutionEngine::state_digest() {
@@ -252,7 +256,7 @@ void ExecutionEngine::merge_main() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      if (stopping_) {
+      if (queue_.empty()) {  // stopping, and everything queued is applied
         idle_.notify_all();
         return;
       }

@@ -153,7 +153,16 @@ class ExecutionEngine {
   };
 
   explicit ExecutionEngine(Options options, DeliveryHandler on_delivery = {});
+  // Calls shutdown().
   ~ExecutionEngine();
+
+  // Idempotent. The merge thread applies what is already queued (its
+  // deliveries included), then exits and is joined; later execute() calls
+  // are dropped. The owner calls it while everything the delivery handler
+  // touches is still alive — the runtime stops the engine before its event
+  // loop is destroyed. State reads (state_digest(), stats()) stay valid
+  // afterwards. A no-op when threads == 0 (nothing runs off the caller).
+  void shutdown();
 
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
@@ -208,6 +217,7 @@ class ExecutionEngine {
   DeliveryHandler on_delivery_;
   SerialExecutor serial_;  // merge-thread-owned while running
 
+  const bool threaded_;  // threads > 0: a merge thread owns apply
   std::unique_ptr<net::WorkerPool> pool_;
   std::thread merge_;
   mutable std::mutex mutex_;

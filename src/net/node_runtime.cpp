@@ -439,10 +439,13 @@ void NodeRuntime::stop() {
     loop_.stop();
     thread_.join();
   }
-  // WAL writer last: it may still be flushing a final group and posting acks
-  // through loop_, so it must be joined while the loop object is alive (the
-  // stopped loop queues the posts and never runs them — the sends they gate
-  // have no live connections left anyway).
+  // The execution merge thread and the WAL writer last: they may still be
+  // applying a final sub-DAG or flushing a final group and posting
+  // deliveries or acks through loop_, so they must be joined while the loop
+  // object is alive (the stopped loop queues the posts and never runs them
+  // — the sends they gate have no live connections left anyway). loop_ is
+  // declared after exec_engine_, so it is destroyed first.
+  if (exec_engine_) exec_engine_->shutdown();
   if (group_wal_) group_wal_->shutdown();
 }
 
@@ -876,10 +879,9 @@ NodeRuntime::IoPlaneReport NodeRuntime::io_plane_report() const {
 }
 
 Bytes NodeRuntime::encode_block(const Block& block) const {
-  serde::Writer w;
+  serde::Writer w(1 + block.encoded_size());
   w.u8(static_cast<std::uint8_t>(MessageType::kBlock));
-  const Bytes encoded = block.serialize();
-  w.raw({encoded.data(), encoded.size()});
+  block.encode_to(w);
   return std::move(w).take();
 }
 

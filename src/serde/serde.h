@@ -2,8 +2,11 @@
 // and length-prefixed byte strings.
 //
 // This is the wire format for blocks (network frames and WAL records) and the
-// preimage format for block digests, so encoding must be deterministic: the
-// same value always serializes to the same bytes.
+// preimage format for block digests, so encoding must be canonical: the same
+// value always serializes to the same bytes, and the Reader accepts only
+// those bytes (an overlong varint is malformed). Block::deserialize, built
+// on it, therefore re-encodes every input it accepts to exactly that input,
+// which is what lets a block's digest be taken over its received bytes.
 //
 // Readers are bounds-checked and throw SerdeError on malformed input; the
 // network layer catches at the message boundary and drops the peer's frame.
@@ -22,6 +25,19 @@ class SerdeError : public std::runtime_error {
  public:
   explicit SerdeError(const std::string& what) : std::runtime_error(what) {}
 };
+
+// Bytes Writer::varint(v) emits.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+// Bytes Writer::bytes() emits for a `len`-byte string.
+constexpr std::size_t bytes_size(std::size_t len) { return varint_size(len) + len; }
 
 class Writer {
  public:
@@ -68,6 +84,8 @@ class Reader {
   std::uint32_t u32() { return static_cast<std::uint32_t>(read_le(4)); }
   std::uint64_t u64() { return read_le(8); }
 
+  // Canonical LEB128 only: an overlong encoding (a final 0x00 group after
+  // the first byte, e.g. `80 00` for 0) throws like any malformed input.
   std::uint64_t varint();
 
   BytesView raw(std::size_t count) { return take(count); }

@@ -846,19 +846,13 @@ struct SimHarness::Impl {
         recovered = ckpt_stores[v]->load_newest_valid();
       } else if (!ckpts[v].chain.empty()) {
         // In-memory chain recovery: base plus the longest cleanly-applying
-        // delta prefix, mirroring CheckpointStore::newest_valid_chain(). A
+        // delta prefix, mirroring CheckpointStore::load_newest_valid(). A
         // link that fails to apply truncates the chain there — recovery
         // degrades to more WAL replay, never to divergence.
+        std::vector<BytesView> records;
+        for (const auto& record : ckpts[v].chain) records.emplace_back(*record);
         try {
-          const auto& chain = ckpts[v].chain;
-          CheckpointData data =
-              decode_checkpoint({chain[0]->data(), chain[0]->size()});
-          recovered = data;
-          for (std::size_t i = 1; i < chain.size(); ++i) {
-            apply_checkpoint_delta(
-                data, decode_checkpoint_delta({chain[i]->data(), chain[i]->size()}));
-            recovered = data;
-          }
+          recovered = replay_checkpoint_chain(records);
         } catch (const std::exception&) {
         }
       }

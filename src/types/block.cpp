@@ -5,9 +5,19 @@
 namespace mahimahi {
 
 namespace {
+
 // v2 added the author creation timestamp to the digested content.
 constexpr std::string_view kDigestDomain = "mahi-mahi/block/v2";
+
+constexpr std::size_t kSignatureSize =
+    std::tuple_size_v<decltype(crypto::Ed25519Signature::bytes)>;
+
+// The digest preimage inside an encoding: all of it but the signature.
+Digest content_digest(BytesView encoded) {
+  return crypto::Blake2b::hash256(encoded.first(encoded.size() - kSignatureSize));
 }
+
+}  // namespace
 
 Block Block::make(ValidatorId author, Round round, std::vector<BlockRef> parents,
                   std::vector<TxBatch> batches, crypto::CoinShare coin_share,
@@ -48,8 +58,17 @@ std::uint64_t Block::wire_bytes() const {
   return total;
 }
 
-Bytes Block::content_bytes() const {
-  serde::Writer w(256 + batches_.size() * 32 + parents_.size() * 48);
+std::size_t Block::encoded_size() const {
+  std::size_t n = kDigestDomain.size() + 4 + serde::varint_size(round_) +
+                  serde::varint_size(static_cast<std::uint64_t>(created_at_)) +
+                  serde::varint_size(parents_.size());
+  for (const auto& parent : parents_) n += serde::varint_size(parent.round) + 4 + 32;
+  n += 32 + serde::varint_size(batches_.size());
+  for (const auto& batch : batches_) n += batch.encoded_size();
+  return n + kSignatureSize;
+}
+
+void Block::encode_to(serde::Writer& w) const {
   w.raw(as_bytes_view(kDigestDomain));
   w.u32(author_);
   w.varint(round_);
@@ -63,20 +82,18 @@ Bytes Block::content_bytes() const {
   w.digest(coin_share_);
   w.varint(batches_.size());
   for (const auto& batch : batches_) batch.serialize(w);
+  w.raw({signature_.bytes.data(), signature_.bytes.size()});
+}
+
+Bytes Block::serialize() const {
+  serde::Writer w(encoded_size());
+  encode_to(w);
   return std::move(w).take();
 }
 
 void Block::finalize_digest() {
-  const Bytes content = content_bytes();
-  digest_ = crypto::Blake2b::hash256({content.data(), content.size()});
-}
-
-Bytes Block::serialize() const {
-  serde::Writer w;
-  const Bytes content = content_bytes();
-  w.raw({content.data(), content.size()});
-  w.raw({signature_.bytes.data(), signature_.bytes.size()});
-  return std::move(w).take();
+  const Bytes encoded = serialize();
+  digest_ = content_digest({encoded.data(), encoded.size()});
 }
 
 Block Block::deserialize(BytesView data) {
@@ -105,10 +122,12 @@ Block Block::deserialize(BytesView data) {
   if (batch_count > 1 << 24) throw serde::SerdeError("absurd batch count");
   b.batches_.reserve(batch_count);
   for (std::uint64_t i = 0; i < batch_count; ++i) b.batches_.push_back(TxBatch::deserialize(r));
-  const BytesView sig = r.raw(64);
+  const BytesView sig = r.raw(kSignatureSize);
   std::copy(sig.begin(), sig.end(), b.signature_.bytes.begin());
   r.expect_done();
-  b.finalize_digest();
+  // Canonical decoding makes `data` exactly what encode_to() would emit, so
+  // its content span is the digest preimage.
+  b.digest_ = content_digest(data);
   return b;
 }
 

@@ -56,9 +56,17 @@ class Block {
   // Approximate wire size (header + batches); used for bandwidth modelling.
   std::uint64_t wire_bytes() const;
 
-  // Wire codec. deserialize() recomputes the digest from the received
-  // content; it performs structural decoding only (no semantic validation —
-  // see types/validation.h).
+  // Wire codec. The encoding is the digest preimage (all fields except the
+  // signature, domain-separated) followed by the 64-byte signature.
+  // encode_to() is the one encoder: every consumer (wire frames, WAL
+  // records, checkpoints) sizes its buffer with encoded_size() and appends
+  // the block's bytes once. deserialize() accepts only canonical encodings,
+  // so the digest is Blake2b of the received content bytes (everything but
+  // the trailing signature) — the block is never re-encoded to hash it. It
+  // performs structural decoding only (no semantic validation — see
+  // types/validation.h).
+  std::size_t encoded_size() const;
+  void encode_to(serde::Writer& w) const;
   Bytes serialize() const;
   static Block deserialize(BytesView data);
 
@@ -67,8 +75,6 @@ class Block {
  private:
   Block() = default;
 
-  // Digest preimage: all fields except the signature, domain-separated.
-  Bytes content_bytes() const;
   void finalize_digest();
 
   ValidatorId author_ = 0;

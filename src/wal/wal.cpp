@@ -13,31 +13,42 @@
 
 namespace mahimahi {
 
-Bytes wal_frame_record(BytesView payload) {
-  Bytes framed(8 + payload.size());
+namespace {
+constexpr std::size_t kRecordHeaderSize = 8;
+}
+
+serde::Writer wal_record_writer(std::size_t payload_size) {
+  serde::Writer w(kRecordHeaderSize + payload_size);
+  w.u64(0);  // [u32 len][u32 crc], patched by wal_seal_record
+  return w;
+}
+
+Bytes wal_seal_record(serde::Writer&& record) {
+  Bytes framed = std::move(record).take();
+  const BytesView payload = BytesView(framed).subspan(kRecordHeaderSize);
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = crc32(payload);
   std::memcpy(framed.data(), &len, 4);
   std::memcpy(framed.data() + 4, &crc, 4);
-  std::memcpy(framed.data() + 8, payload.data(), payload.size());
   return framed;
 }
 
 Bytes wal_encode_block_record(const Block& block, bool own) {
-  serde::Writer w;
+  const std::size_t block_size = block.encoded_size();
+  serde::Writer w = wal_record_writer(1 + serde::bytes_size(block_size));
   w.u8(static_cast<std::uint8_t>(own ? WalRecordType::kOwnBlock
                                      : WalRecordType::kReceivedBlock));
-  const Bytes encoded = block.serialize();
-  w.bytes({encoded.data(), encoded.size()});
-  return wal_frame_record({w.data().data(), w.data().size()});
+  w.varint(block_size);
+  block.encode_to(w);
+  return wal_seal_record(std::move(w));
 }
 
 Bytes wal_encode_commit_record(SlotId slot) {
-  serde::Writer w;
+  serde::Writer w = wal_record_writer(1 + serde::varint_size(slot.round) + 4);
   w.u8(static_cast<std::uint8_t>(WalRecordType::kCommittedSlot));
   w.varint(slot.round);
   w.u32(slot.leader_offset);
-  return wal_frame_record({w.data().data(), w.data().size()});
+  return wal_seal_record(std::move(w));
 }
 
 FileWal::FileWal(std::string path, bool fsync_on_sync)

@@ -42,7 +42,14 @@ enum class WalRecordType : std::uint8_t {
 // byte-identical no matter which of them wrote it (group-commit recovery
 // equivalence rests on this). Each helper returns one fully framed record:
 // [u32 len][u32 crc][payload].
-Bytes wal_frame_record(BytesView payload);
+//
+// Records are framed in place: wal_record_writer() opens a buffer sized for
+// the whole record with the 8 header bytes reserved, the caller appends the
+// payload, and wal_seal_record() CRCs the payload where it lies and patches
+// the header. The payload is written once and never copied. Checkpoints and
+// deltas use the same framing.
+serde::Writer wal_record_writer(std::size_t payload_size);
+Bytes wal_seal_record(serde::Writer&& record);
 Bytes wal_encode_block_record(const Block& block, bool own);
 Bytes wal_encode_commit_record(SlotId slot);
 

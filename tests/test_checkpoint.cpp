@@ -19,6 +19,7 @@
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/delta.h"
 #include "checkpoint/segmented_wal.h"
+#include "codec_fixtures.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "serde/serde.h"
@@ -533,7 +534,7 @@ TEST(Checkpoint, CodecRoundTripsACapturedCut) {
 // varints, carrying the given counts with nothing behind them.
 Bytes frame_with_counts(std::uint64_t decided, std::uint64_t delivered,
                         std::uint64_t blocks) {
-  serde::Writer w;
+  serde::Writer w = wal_record_writer(0);
   w.u32(0x4d4d434b);  // kCheckpointMagic
   w.u8(1);            // kCheckpointVersion
   w.u64(1);           // sequence
@@ -545,7 +546,7 @@ Bytes frame_with_counts(std::uint64_t decided, std::uint64_t delivered,
   w.varint(decided);
   w.varint(delivered);
   w.varint(blocks);
-  return wal_frame_record({w.data().data(), w.data().size()});
+  return wal_seal_record(std::move(w));
 }
 
 TEST(Checkpoint, CodecRejectsAbsurdElementCountsAsDecodeErrors) {
@@ -559,6 +560,55 @@ TEST(Checkpoint, CodecRejectsAbsurdElementCountsAsDecodeErrors) {
         frame_with_counts(0, 0, absurd)}) {
     EXPECT_THROW(decode_checkpoint({frame.data(), frame.size()}), serde::SerdeError);
   }
+}
+
+// Golden bytes: the exact base-checkpoint and delta records for the fixed
+// inputs in codec_fixtures.h. Stores already on disk (and chains in flight
+// between validators) must keep loading, so no byte may move.
+TEST(CheckpointCodec, BaseAndDeltaRecordsMatchGoldenBytes) {
+  const Bytes base = encode_checkpoint(codec_fixtures::checkpoint());
+  EXPECT_EQ(to_hex({base.data(), base.size()}),
+      "34020000bb2161ae4b434d4d01050000000000000001000000019601010000009701029401000000"
+      "000300000001010102000000eedd349e1d9b827422755adbd34e98fdca1601cf279626f82c34618d"
+      "acc67a8c94010100000000000000020201eedd349e1d9b827422755adbd34e98fdca1601cf279626"
+      "f82c34618dacc67a8c010182036d6168692d6d6168692f626c6f636b2f763202000000018080f9c0"
+      "c1c48203040000000000b38a19bef68f194cbef051e2ccfe544c14dd7daa761d547ab14be7b8eaf3"
+      "c3f2000100000056ad38359b6e3f01fe5a31b40177dac2345f5f8e52d9c8420c0e4368c8bf101700"
+      "0200000043374de1cc9a1611201dddc80f20a0ae19580a4a795527304e8a241651a0118c00030000"
+      "00b4617c054d0071fc273b863401f5ea971d0c90c5b26fa279854744a854221b404b58d918d72dab"
+      "17de892d6f49efb686dc6337724908800cdac4b62359098a5d02070000000000000015cd5b070000"
+      "0000030000001000000030000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c"
+      "1d1e1f202122232425262728292a2b2c2d2e2f0201610262620101632c0100000000000000000000"
+      "00000000c8000000000200000000006489c6bdab3959db5376c0a8552f856470188428d7883e84b1"
+      "cf35dc379e92aab36556a8fd5d76e4ba791e63e2c1c1a66f4421e83f84b44adfae075a05b4e20114"
+      "6170702d73746174653a30313233343536373839eedd349e1d9b827422755adbd34e98fdca1601cf"
+      "279626f82c34618dacc67a8c");
+  const Bytes delta = encode_checkpoint_delta(codec_fixtures::delta());
+  EXPECT_EQ(to_hex({delta.data(), delta.size()}),
+      "0e02000064dafff044434d4d01060000000000000005000000000000000500000000000000010000"
+      "0001960101000000960102000000c8010196010100000001000000020101eedd349e1d9b82742275"
+      "5adbd34e98fdca1601cf279626f82c34618dacc67a8c010182036d6168692d6d6168692f626c6f63"
+      "6b2f763202000000018080f9c0c1c48203040000000000b38a19bef68f194cbef051e2ccfe544c14"
+      "dd7daa761d547ab14be7b8eaf3c3f2000100000056ad38359b6e3f01fe5a31b40177dac2345f5f8e"
+      "52d9c8420c0e4368c8bf1017000200000043374de1cc9a1611201dddc80f20a0ae19580a4a795527"
+      "304e8a241651a0118c0003000000b4617c054d0071fc273b863401f5ea971d0c90c5b26fa2798547"
+      "44a854221b404b58d918d72dab17de892d6f49efb686dc6337724908800cdac4b62359098a5d0207"
+      "0000000000000015cd5b0700000000030000001000000030000102030405060708090a0b0c0d0e0f"
+      "101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f0201610262620101"
+      "632c010000000000000000000000000000c8000000000200000000006489c6bdab3959db5376c0a8"
+      "552f856470188428d7883e84b1cf35dc379e92aab36556a8fd5d76e4ba791e63e2c1c1a66f4421e8"
+      "3f84b44adfae075a05b4e201096170702d64656c7461eedd349e1d9b827422755adbd34e98fdca16"
+      "01cf279626f82c34618dacc67a8c");
+
+  // And both decode back to the fixtures.
+  const CheckpointData decoded = decode_checkpoint({base.data(), base.size()});
+  ASSERT_EQ(decoded.blocks.size(), 1u);
+  EXPECT_EQ(decoded.blocks[0]->digest(), codec_fixtures::block()->digest());
+  EXPECT_EQ(decoded.app_state, codec_fixtures::app_state());
+  const CheckpointDelta decoded_delta = decode_checkpoint_delta({delta.data(), delta.size()});
+  EXPECT_EQ(decoded_delta.head, (SlotId{150, 2}));
+  ASSERT_EQ(decoded_delta.blocks_added.size(), 1u);
+  EXPECT_EQ(decoded_delta.blocks_added[0]->digest(), codec_fixtures::block()->digest());
 }
 
 TEST(Checkpoint, StoreFallsBackPastCorruptNewest) {

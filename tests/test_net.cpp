@@ -7,12 +7,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <thread>
 
+#include "client/kv_batches.h"
+#include "common/rng.h"
 #include "net/node_runtime.h"
 #include "obs/flight_recorder.h"
 
@@ -275,6 +279,8 @@ class TcpClusterTest : public ::testing::Test {
     config.admin_port = admin_port_;
     config.loop_stall_budget = loop_stall_budget_;
     config.flightrec_dir = flightrec_dir_;
+    config.validator.execute_app = execute_app_;
+    config.validator.execution_threads = execution_threads_;
     return std::make_unique<NodeRuntime>(setup_.committee,
                                          setup_.keypairs[v].private_key, config);
   }
@@ -298,6 +304,9 @@ class TcpClusterTest : public ::testing::Test {
   // and a dump directory arms the watchdog's auto-dump.
   TimeMicros loop_stall_budget_ = millis(250);
   std::string flightrec_dir_;
+  // KV execution; threads > 0 runs the threaded engine with a merge thread.
+  bool execute_app_ = false;
+  std::size_t execution_threads_ = 0;
 
   // Builds a 4-node localhost cluster on ephemeral ports. The chosen
   // addresses stay in addresses_, so a node restarted later (make_node)
@@ -370,6 +379,55 @@ TEST_F(TcpClusterTest, FourNodesCommitTransactions) {
     EXPECT_EQ(stats.structurally_rejected, 0u);
     EXPECT_EQ(node->decode_errors(), 0u);
   }
+}
+
+TEST_F(TcpClusterTest, StopUnderLoadJoinsTheExecutionEngine) {
+  // With execution_threads >= 1 the engine's merge thread posts each applied
+  // sub-DAG's forensics back to the event loop. stop() must join that thread
+  // while the loop is still alive: the loop is destroyed before the engine,
+  // and a post into it afterwards is a use-after-free (the ASan and TSan
+  // legs run this test).
+  execute_app_ = true;
+  execution_threads_ = 1;
+  auto nodes = make_cluster();
+  for (auto& node : nodes) node->start();
+
+  std::atomic<bool> done{false};
+  std::thread client([&] {
+    Rng rng(17);
+    client::KvWorkload workload;
+    workload.commands_per_batch = 8;
+    for (std::uint64_t sequence = 0; !done.load(); ++sequence) {
+      for (ValidatorId v = 0; v < 4; ++v) {
+        nodes[v]->submit(
+            {client::synth_kv_batch(workload, v, sequence, rng, steady_now_micros())});
+      }
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+  const bool executing = wait_for([&] {
+    for (const auto& node : nodes) {
+      if (node->execution_stats().subdags < 20) return false;
+    }
+    return true;
+  });
+  // Stop while blocks, commits and executions are still in flight.
+  done = true;
+  client.join();
+  for (auto& node : nodes) node->stop();
+  ASSERT_TRUE(executing);
+
+  for (const auto& node : nodes) {
+    EXPECT_TRUE(node->execution_active());
+    const auto at_stop = node->execution_stats();
+    EXPECT_GT(at_stop.batches_executed, 0u);
+    EXPECT_EQ(at_stop.malformed, 0u);
+    // stop() joined the merge thread after it applied its queue: nothing is
+    // left in flight, and a drain must neither hang nor apply more.
+    node->app_state_digest();
+    EXPECT_EQ(node->execution_stats().subdags, at_stop.subdags);
+  }
+  nodes.clear();
 }
 
 TEST_F(TcpClusterTest, AdminEndpointServesMetricsMidRun) {

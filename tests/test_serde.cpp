@@ -70,6 +70,34 @@ TEST(Serde, VarintRejectsOverlongFinalByte) {
   EXPECT_THROW(r.varint(), SerdeError);
 }
 
+TEST(Serde, VarintRejectsOverlongEncodings) {
+  // A zero final group after the first byte pads a value the canonical
+  // encoding writes shorter: 0 as `80 00`, 1 as `81 00`, 127 as `ff 00`,
+  // 128 as `80 81 00`, and 0 padded out to the full ten bytes.
+  Bytes ten(9, 0x80);
+  ten.push_back(0x00);
+  for (const Bytes& overlong :
+       {Bytes{0x80, 0x00}, Bytes{0x81, 0x00}, Bytes{0xff, 0x00}, Bytes{0x80, 0x81, 0x00},
+        Bytes{0x80, 0x80, 0x00}, ten}) {
+    Reader r({overlong.data(), overlong.size()});
+    EXPECT_THROW(r.varint(), SerdeError) << overlong.size() << "-byte overlong varint";
+  }
+  // Length-prefixed byte strings inherit the rule.
+  const Bytes padded_length = {0x82, 0x00, 'h', 'i'};
+  Reader r({padded_length.data(), padded_length.size()});
+  EXPECT_THROW(r.bytes(), SerdeError);
+}
+
+TEST(Serde, VarintSizeMatchesEncoding) {
+  for (int shift = 0; shift < 64; ++shift) {
+    for (const std::uint64_t v : {std::uint64_t{1} << shift, (std::uint64_t{1} << shift) - 1}) {
+      Writer w;
+      w.varint(v);
+      EXPECT_EQ(varint_size(v), w.size()) << v;
+    }
+  }
+}
+
 TEST(Serde, VarintTruncatedThrows) {
   Bytes truncated = {0x80, 0x80};  // continuation bits with no terminator
   Reader r({truncated.data(), truncated.size()});

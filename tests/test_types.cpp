@@ -1,6 +1,9 @@
 // Tests for blocks, committees and the §2.3 validity rules.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "types/block.h"
 #include "types/committee.h"
 #include "types/validation.h"
@@ -111,6 +114,109 @@ TEST_F(BlockTest, DeserializeRejectsTrailingBytes) {
   Bytes wire = make_round1(0).serialize();
   wire.push_back(0x00);
   EXPECT_THROW(Block::deserialize({wire.data(), wire.size()}), serde::SerdeError);
+}
+
+// Varint fields of the block encoding that the overlong test pads.
+enum class Pad {
+  kNone,
+  kRound,
+  kCreatedAt,
+  kParentCount,
+  kParentRound,
+  kBatchCount,
+  kPayloadLength,
+  kReadKeyCount,
+  kWriteKeyLength,
+};
+
+// Mirrors Block::encode_to field by field, but writes the `pad` varint in an
+// overlong form: its value's groups, then one extra zero group (`80 00`
+// for 0). Pad::kNone must reproduce serialize() exactly.
+Bytes encode_padded(const Block& b, Pad pad) {
+  serde::Writer w;
+  const auto varint = [&](std::uint64_t v, Pad field) {
+    if (field == Pad::kNone || field != pad) {
+      w.varint(v);
+      return;
+    }
+    for (; v >= 0x80; v >>= 7) w.u8(static_cast<std::uint8_t>(v) | 0x80);
+    w.u8(static_cast<std::uint8_t>(v) | 0x80);
+    w.u8(0x00);
+  };
+  const auto keys = [&](const std::vector<std::string>& list, Pad count, Pad length) {
+    varint(list.size(), count);
+    for (const std::string& key : list) {
+      varint(key.size(), length);
+      w.raw(as_bytes_view(key));
+    }
+  };
+  w.raw(as_bytes_view("mahi-mahi/block/v2"));
+  w.u32(b.author());
+  varint(b.round(), Pad::kRound);
+  varint(static_cast<std::uint64_t>(b.created_at()), Pad::kCreatedAt);
+  varint(b.parents().size(), Pad::kParentCount);
+  for (const BlockRef& parent : b.parents()) {
+    varint(parent.round, Pad::kParentRound);
+    w.u32(parent.author);
+    w.digest(parent.digest);
+  }
+  w.digest(b.coin_share());
+  varint(b.batches().size(), Pad::kBatchCount);
+  for (const TxBatch& batch : b.batches()) {
+    w.u64(batch.id);
+    w.u64(static_cast<std::uint64_t>(batch.submitted_at));
+    w.u32(batch.count);
+    w.u32(batch.tx_bytes);
+    varint(batch.payload.size(), Pad::kPayloadLength);
+    w.raw({batch.payload.data(), batch.payload.size()});
+    keys(batch.read_keys, Pad::kReadKeyCount, Pad::kNone);
+    keys(batch.write_keys, Pad::kNone, Pad::kWriteKeyLength);
+  }
+  w.raw({b.signature().bytes.data(), b.signature().bytes.size()});
+  return std::move(w).take();
+}
+
+TEST_F(BlockTest, DeserializeRejectsOverlongVarints) {
+  // Only canonical encodings decode, so a decoded block's bytes are exactly
+  // its encoding and the digest can be taken over the received content.
+  TxBatch batch;
+  batch.id = 5;
+  batch.payload = Bytes(200, 0x5a);  // two-byte length prefix
+  batch.read_keys = {"r"};
+  batch.write_keys = {"w"};
+  const Block b = Block::make(1, 1, genesis_refs(), {batch}, coin().share(1, 1),
+                              setup_.keypairs[1].private_key, /*created_at=*/1'234'567);
+  const Bytes canonical = encode_padded(b, Pad::kNone);
+  ASSERT_EQ(canonical, b.serialize());
+  EXPECT_EQ(canonical.size(), b.encoded_size());
+  EXPECT_EQ(Block::deserialize({canonical.data(), canonical.size()}).digest(), b.digest());
+  for (const Pad pad : {Pad::kRound, Pad::kCreatedAt, Pad::kParentCount, Pad::kParentRound,
+                        Pad::kBatchCount, Pad::kPayloadLength, Pad::kReadKeyCount,
+                        Pad::kWriteKeyLength}) {
+    const Bytes padded = encode_padded(b, pad);
+    ASSERT_GT(padded.size(), canonical.size());
+    EXPECT_THROW(Block::deserialize({padded.data(), padded.size()}), serde::SerdeError)
+        << "overlong field " << static_cast<int>(pad) << " accepted";
+  }
+}
+
+TEST_F(BlockTest, EncodedSizeIsExact) {
+  // Multi-byte varints everywhere a varint can be: large round, timestamp,
+  // payload length and key count.
+  TxBatch big;
+  big.payload = Bytes(70'000, 0x01);
+  for (int i = 0; i < 130; ++i) big.write_keys.push_back("key" + std::to_string(i));
+  std::vector<BlockRef> parents = genesis_refs();
+  parents[0].round = std::uint64_t{1} << 40;
+  for (const Block& b :
+       {make_round1(0), make_round1(3, {TxBatch{}, big}),
+        Block::make(2, std::uint64_t{1} << 50, parents, {big}, coin().share(2, 9),
+                    setup_.keypairs[2].private_key, /*created_at=*/-1),
+        Block::make(2, 300, parents, {}, coin().share(2, 9), setup_.keypairs[2].private_key,
+                    /*created_at=*/std::int64_t{1} << 62),
+        Block::genesis(1, coin())}) {
+    EXPECT_EQ(b.serialize().size(), b.encoded_size());
+  }
 }
 
 TEST_F(BlockTest, TransactionAndWireAccounting) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <future>
 
+#include "codec_fixtures.h"
 #include "common/rng.h"
 #include "validator/validator.h"
 #include "wal/group_commit_wal.h"
@@ -415,6 +416,43 @@ TEST_F(WalTest, LargeLogReplaysCompletely) {
   const auto result = FileWal::replay(path_.string(), visitor);
   EXPECT_EQ(replayed, kBlocks);
   EXPECT_FALSE(result.corrupt_tail);
+}
+
+// Golden bytes: the exact records for the fixed inputs in
+// codec_fixtures.h. Logs already on disk must keep replaying, so no byte of
+// the record format may move.
+TEST(WalCodec, BlockAndCommitRecordsMatchGoldenBytes) {
+  const BlockPtr block = codec_fixtures::block();
+  const Bytes own = wal_encode_block_record(*block, /*own=*/true);
+  EXPECT_EQ(to_hex({own.data(), own.size()}),
+      "850100009f4d20280282036d6168692d6d6168692f626c6f636b2f763202000000018080f9c0c1c4"
+      "8203040000000000b38a19bef68f194cbef051e2ccfe544c14dd7daa761d547ab14be7b8eaf3c3f2"
+      "000100000056ad38359b6e3f01fe5a31b40177dac2345f5f8e52d9c8420c0e4368c8bf1017000200"
+      "000043374de1cc9a1611201dddc80f20a0ae19580a4a795527304e8a241651a0118c0003000000b4"
+      "617c054d0071fc273b863401f5ea971d0c90c5b26fa279854744a854221b404b58d918d72dab17de"
+      "892d6f49efb686dc6337724908800cdac4b62359098a5d02070000000000000015cd5b0700000000"
+      "030000001000000030000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e"
+      "1f202122232425262728292a2b2c2d2e2f0201610262620101632c01000000000000000000000000"
+      "0000c8000000000200000000006489c6bdab3959db5376c0a8552f856470188428d7883e84b1cf35"
+      "dc379e92aab36556a8fd5d76e4ba791e63e2c1c1a66f4421e83f84b44adfae075a05b4e201");
+  const Bytes received = wal_encode_block_record(*block, /*own=*/false);
+  EXPECT_EQ(to_hex({received.data(), received.size()}),
+      "85010000aef23bd80182036d6168692d6d6168692f626c6f636b2f763202000000018080f9c0c1c4"
+      "8203040000000000b38a19bef68f194cbef051e2ccfe544c14dd7daa761d547ab14be7b8eaf3c3f2"
+      "000100000056ad38359b6e3f01fe5a31b40177dac2345f5f8e52d9c8420c0e4368c8bf1017000200"
+      "000043374de1cc9a1611201dddc80f20a0ae19580a4a795527304e8a241651a0118c0003000000b4"
+      "617c054d0071fc273b863401f5ea971d0c90c5b26fa279854744a854221b404b58d918d72dab17de"
+      "892d6f49efb686dc6337724908800cdac4b62359098a5d02070000000000000015cd5b0700000000"
+      "030000001000000030000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e"
+      "1f202122232425262728292a2b2c2d2e2f0201610262620101632c01000000000000000000000000"
+      "0000c8000000000200000000006489c6bdab3959db5376c0a8552f856470188428d7883e84b1cf35"
+      "dc379e92aab36556a8fd5d76e4ba791e63e2c1c1a66f4421e83f84b44adfae075a05b4e201");
+  const Bytes commit = wal_encode_commit_record(SlotId{300, 2});
+  EXPECT_EQ(to_hex({commit.data(), commit.size()}), "070000009d8f931203ac0202000000");
+  // The block record's payload is [type][varint len][Block::serialize()].
+  const Bytes wire = block->serialize();
+  EXPECT_EQ(wire.size(), block->encoded_size());
+  EXPECT_TRUE(std::equal(wire.begin(), wire.end(), own.end() - wire.size()));
 }
 
 }  // namespace
